@@ -2,9 +2,15 @@
 
 The engine's ``execute_workload`` decodes each involved partition once
 per *batch* instead of once per query — but only if concurrent requests
-actually arrive as one workload.  The :class:`Batcher` is that funnel:
-admitted queries wait up to ``window_seconds`` (or until ``max_batch``
-queued) and flush together into one routed, sharded dispatch.
+actually arrive as one workload.  The :class:`Batcher` is that funnel.
+
+By default (``window_seconds=0``) it batches *naturally*, with no timer:
+a submit made while no flush is in flight flushes at the end of the
+current event-loop iteration, so every query submitted in that
+iteration lands in the same batch; submits made while a flush is in
+flight are held and go out together the moment it completes.  A
+positive ``window_seconds`` instead holds queries up to that long.
+Either way, ``max_batch`` queued queries flush at once.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import asyncio
 
 
 class Batcher:
-    """Window/size-bounded query coalescing on the asyncio loop.
+    """Natural or window-bounded query coalescing on the asyncio loop.
 
     ``flush`` is an async callable receiving ``[(query, future), ...]``;
     it must resolve every future (result or exception).  Any exception
@@ -21,7 +27,7 @@ class Batcher:
     futures, so a submitter can never hang on a crashed flush.
     """
 
-    def __init__(self, flush, window_seconds: float = 0.002,
+    def __init__(self, flush, window_seconds: float = 0.0,
                  max_batch: int = 64):
         if window_seconds < 0:
             raise ValueError("window_seconds must be non-negative")
@@ -31,7 +37,9 @@ class Batcher:
         self._window = window_seconds
         self._max_batch = max_batch
         self._pending: list = []
-        self._timer: asyncio.TimerHandle | None = None
+        #: the scheduled flush: a window timer, or the end-of-iteration
+        #: callback of natural batching
+        self._timer: asyncio.Handle | None = None
         self._inflight: set[asyncio.Task] = set()
         self.batches_flushed = 0
         self.queries_batched = 0
@@ -46,7 +54,10 @@ class Batcher:
         if len(self._pending) >= self._max_batch:
             self._flush_now()
         elif self._timer is None:
-            self._timer = loop.call_later(self._window, self._flush_now)
+            if self._window:
+                self._timer = loop.call_later(self._window, self._flush_now)
+            elif not self._inflight:
+                self._timer = loop.call_soon(self._flush_now)
         return await future
 
     async def drain(self) -> None:
@@ -77,3 +88,9 @@ class Batcher:
                     future.set_exception(exc)
             if not isinstance(exc, Exception):
                 raise
+        finally:
+            # Natural batching: what queued up behind this flush goes
+            # out now, as one batch.
+            self._inflight.discard(asyncio.current_task())
+            if not self._window and not self._inflight:
+                self._flush_now()

@@ -1,16 +1,25 @@
 """The wire vocabulary between the serving front door and shard workers.
 
-Everything crossing a worker queue is plain picklable data: frozen
+Everything crossing a shard channel is plain picklable data: frozen
 dataclasses of scalars, :class:`~repro.workload.query.Query` values and
 numpy column payloads.  Result records travel as ``{field: ndarray}``
 dicts (:func:`dataset_to_payload`) rather than :class:`Dataset` objects
 so the protocol owns the representation — the arrays round-trip
 bit-exactly through pickle, which is what keeps the sharded answer
 bit-equal to the single-process one.
+
+Each message travels as one length-prefixed pickle frame, the layout
+:class:`multiprocessing.connection.Connection` reads and writes, so a
+worker's end of the channel is a plain blocking ``Connection`` while the
+front door speaks the same frames through asyncio
+(:func:`encode_frame`, :class:`FrameProtocol`).
 """
 
 from __future__ import annotations
 
+import asyncio
+import pickle
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +121,85 @@ class TraceResponse:
     spans: tuple[dict, ...] = ()
 
 
-#: Queue sentinel: a worker receiving ``None`` drains out; it echoes
-#: ``None`` on its response queue so the front door's reader exits too.
+#: Channel sentinel: a worker receiving ``None`` drains out and exits.
 SHUTDOWN = None
+
+
+_SIZE = struct.Struct("!i")
+_LONG_SIZE = struct.Struct("!Q")
+#: Frames that fit are parsed straight out of the reader's scratch
+#: buffer; a larger frame gets one buffer of its announced size that
+#: the socket fills directly.
+_SCRATCH_BYTES = 1 << 16
+
+
+def encode_frame(message) -> bytes:
+    """``message`` as one ``Connection.recv``-compatible frame."""
+    body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    if len(body) > 0x7FFFFFFF:
+        return _SIZE.pack(-1) + _LONG_SIZE.pack(len(body)) + body
+    return _SIZE.pack(len(body)) + body
+
+
+class FrameProtocol(asyncio.BufferedProtocol):
+    """The front door's end of one shard channel: unpickles every
+    ``Connection.send`` frame the worker writes and hands it to
+    ``on_message``; calls ``on_lost`` once when the channel closes."""
+
+    def __init__(self, on_message, on_lost):
+        self._on_message = on_message
+        self._on_lost = on_lost
+        self._scratch = bytearray(_SCRATCH_BYTES)
+        self._filled = 0
+        self._body: bytearray | None = None
+        self._got = 0
+        self.transport: asyncio.Transport | None = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc) -> None:
+        self._on_lost(exc)
+
+    def get_buffer(self, sizehint: int):
+        if self._body is not None:
+            return memoryview(self._body)[self._got:]
+        return memoryview(self._scratch)[self._filled:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._body is None:
+            self._filled += nbytes
+            self._parse()
+            return
+        self._got += nbytes
+        if self._got == len(self._body):
+            body, self._body = self._body, None
+            self._on_message(pickle.loads(body))
+
+    def _parse(self) -> None:
+        data = memoryview(self._scratch)[:self._filled]
+        pos = 0
+        while len(data) - pos >= _SIZE.size:
+            head = _SIZE.size
+            (size,) = _SIZE.unpack_from(data, pos)
+            if size == -1:
+                head += _LONG_SIZE.size
+                if len(data) - pos < head:
+                    break
+                (size,) = _LONG_SIZE.unpack_from(data, pos + _SIZE.size)
+            end = pos + head + size
+            if end <= len(data):
+                self._on_message(pickle.loads(data[pos + head:end]))
+                pos = end
+                continue
+            if head + size > len(self._scratch):
+                self._body = bytearray(size)
+                self._got = len(data) - pos - head
+                self._body[:self._got] = data[pos + head:]
+                pos = len(data)
+            break
+        data.release()
+        rest = self._filled - pos
+        if rest and pos:
+            self._scratch[:rest] = self._scratch[pos:self._filled]
+        self._filled = rest

@@ -20,6 +20,15 @@ agree on which replica a query reads.  A query that exhausts the
 ranking raises :class:`~repro.errors.DegradedReadError`, never a
 partial result.
 
+**Shard channels.**  Each worker talks to the front door over one
+socket pair carrying ``Connection``-framed pickles
+(:mod:`repro.serve.protocol`): a blocking ``Connection`` in the worker,
+a never-blocking asyncio transport at the front door.  A worker that
+dies shows up as EOF: its shard is marked down and every reply it owed,
+and every later dispatch, fails with
+:class:`~repro.errors.DegradedReadError`.  Request deadlines are also
+enforced while the front door awaits the shards.
+
 **Distributed tracing** (``tracing=True``): every ``query()`` call
 opens a ``request`` root span under a fresh 128-bit trace id; the batch
 span parents under the *first* request of the batch and lists the
@@ -47,8 +56,11 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import socket
 import time
 from dataclasses import dataclass, replace
+from functools import partial
+from multiprocessing.connection import Connection
 
 from repro.cluster.placement import ShardAssignment, assign_shards
 from repro.data.dataset import Dataset
@@ -65,11 +77,14 @@ from repro.obs.trace import NULL_RECORDER
 from repro.serve.admission import AdmissionController, TenantQuotas
 from repro.serve.batcher import Batcher
 from repro.serve.protocol import (
+    SHUTDOWN,
+    FrameProtocol,
     MetricsRequest,
     QueryTask,
     ShardRequest,
     TraceRequest,
     concat_payloads,
+    encode_frame,
 )
 from repro.serve.worker import shard_worker_main
 from repro.storage.config import StoreConfig, hydrate_store
@@ -106,7 +121,7 @@ class ShardServer:
         n_shards: int = 2,
         sharding: str = "hash",
         worker_mode: str = "thread",
-        window_seconds: float = 0.002,
+        window_seconds: float = 0.0,
         max_batch: int = 64,
         max_inflight: int = 256,
         quotas: TenantQuotas | None = None,
@@ -142,12 +157,15 @@ class ShardServer:
         self._router = None
         self._assignment: ShardAssignment | None = None
         self._workers: list = []
-        self._request_queues: list = []
-        self._response_queues: list = []
-        self._readers: list[asyncio.Task] = []
-        self._pending: dict[int, asyncio.Future] = {}
+        #: the front door's end of each shard's channel
+        self._channels: list[FrameProtocol] = []
+        #: replies awaited, keyed by ``(shard_id, request_id)``
+        self._pending: dict[tuple[int, int], asyncio.Future] = {}
+        #: shards whose worker went away while serving
+        self._down: set[int] = set()
         self._ids = itertools.count()
         self._started = False
+        self._stopping = False
         self.failovers = 0
         self.degraded = 0
         self.queries_served = 0
@@ -192,43 +210,53 @@ class ShardServer:
             import multiprocessing as mp
 
             ctx = mp.get_context("spawn")
-            make_queue = ctx.Queue
             def make_worker(args):
                 return ctx.Process(target=shard_worker_main, args=args,
                                    daemon=True)
         else:
-            import queue as queue_mod
             import threading
 
-            make_queue = queue_mod.Queue
             def make_worker(args):
                 return threading.Thread(target=shard_worker_main, args=args,
                                         daemon=True)
         loop = asyncio.get_running_loop()
+        self._stopping = False
         for shard_id in range(self._n_shards):
-            request_q = make_queue()
-            response_q = make_queue()
+            # One socket pair per shard: the worker's end is a blocking
+            # duplex Connection (which the worker closes when it exits),
+            # the front door's end an asyncio transport that never
+            # blocks the loop.
+            front, back = socket.socketpair()
+            worker_end = Connection(back.detach())
             worker = make_worker((worker_config, self._assignment, shard_id,
-                                  request_q, response_q, self._options))
+                                  worker_end, worker_end, self._options))
             worker.start()
-            self._request_queues.append(request_q)
-            self._response_queues.append(response_q)
+            if self._worker_mode == "process":
+                # Only the worker holds its end now: its death reads as
+                # EOF on ours.
+                worker_end.close()
+            _transport, channel = await loop.create_unix_connection(
+                partial(FrameProtocol, self._on_message,
+                        partial(self._on_lost, shard_id)),
+                sock=front)
+            self._channels.append(channel)
             self._workers.append(worker)
-            self._readers.append(loop.create_task(
-                self._read_responses(response_q)))
         self._started = True
 
     async def stop(self) -> None:
         if not self._started:
             return
         await self._batcher.drain()
-        for request_q in self._request_queues:
-            request_q.put(None)
-        if self._readers:
-            await asyncio.gather(*self._readers, return_exceptions=True)
+        self._stopping = True
+        shutdown = encode_frame(SHUTDOWN)
+        for shard_id, channel in enumerate(self._channels):
+            if shard_id not in self._down:
+                channel.transport.write(shutdown)
         loop = asyncio.get_running_loop()
         for worker in self._workers:
             await loop.run_in_executor(None, lambda w=worker: w.join(10))
+        for channel in self._channels:
+            channel.transport.close()
         self._router.close()
         self._started = False
 
@@ -368,6 +396,33 @@ class ShardServer:
             batch_span.annotate(links=links)
 
         plan = self._router.route_workload(Workload.unweighted(order))
+        rounds = self._serve_rounds(order, plan, batch_span, owner.tenant,
+                                    batch_deadline)
+        if batch_deadline is None:
+            outcome = await rounds
+        else:
+            waiters = [pair for q in order for pair in pairs_by_query[q]]
+            outcome = await _within_deadlines(asyncio.ensure_future(rounds),
+                                              waiters)
+            if outcome is None:
+                return
+
+        for i, query in enumerate(order):
+            result = outcome[i]
+            for _envelope, future in pairs_by_query[query]:
+                if future.done():
+                    continue
+                if isinstance(result, BaseException):
+                    future.set_exception(result)
+                else:
+                    future.set_result(result)
+
+    async def _serve_rounds(self, order: list[Query], plan, batch_span,
+                            tenant: str, deadline: float | None) -> dict:
+        """Dispatch rounds with coordinated failover until every query
+        of the batch has an answer or a :class:`DegradedReadError`;
+        returns them by batch index."""
+        tracer = self._tracer
         rankings = [plan.ranking_for(i) for i in range(len(order))]
         rank_pos = [0] * len(order)
         attempts: list[list] = [[] for _ in order]
@@ -386,14 +441,13 @@ class ShardServer:
                         replica,
                         tuple(QueryTask(i, order[i]) for i in idxs),
                         parent=batch_span,
-                        tenant=owner.tenant,
-                        deadline=batch_deadline)
+                        tenant=tenant,
+                        deadline=deadline)
                     for replica, idxs in groups.items()
                 ]
                 all_responses = await asyncio.gather(*dispatches)
                 for (replica, idxs), responses in zip(groups.items(),
                                                       all_responses):
-                    responses = sorted(responses, key=lambda r: r.shard_id)
                     for i in idxs:
                         errors = [r.failures[i] for r in responses
                                   if i in r.failures]
@@ -421,69 +475,89 @@ class ShardServer:
                                     1 for r in outcome.values()
                                     if isinstance(r, DegradedReadError)))
             batch_span.finish()
+        return outcome
 
-        for i, query in enumerate(order):
-            result = outcome[i]
-            for _envelope, future in pairs_by_query[query]:
-                if future.done():
-                    continue
-                if isinstance(result, BaseException):
-                    future.set_exception(result)
-                else:
-                    future.set_result(result)
-
-    async def _dispatch(self, replica: str, tasks, parent=None,
-                        tenant: str = "", deadline: float | None = None
-                        ) -> list:
-        """Send one pinned-replica task group to every shard and gather
-        the per-shard responses.  The dispatch span's context rides the
-        request frame so worker-side spans parent under it."""
-        tracer = self._tracer
-        span = tracer.start("dispatch", parent=parent, replica=replica,
-                            queries=len(tasks), shards=self._n_shards)
+    def _dispatch(self, replica: str, tasks, parent=None,
+                  tenant: str = "", deadline: float | None = None
+                  ) -> asyncio.Future:
+        """Send one pinned-replica task group to every shard; returns a
+        future of the per-shard responses, in shard order.  The dispatch
+        span's context rides the request frame so worker-side spans
+        parent under it."""
+        span = self._tracer.start("dispatch", parent=parent,
+                                  replica=replica, queries=len(tasks),
+                                  shards=self._n_shards)
         ctx = None
         if span.span_id or deadline is not None:
             ctx = TraceContext(trace_id=span.trace_id,
                                parent_span_id=span.span_id or None,
                                tenant=tenant, deadline=deadline)
-        loop = asyncio.get_running_loop()
+        request_id = next(self._ids)
         t0 = time.perf_counter()
-        waits = []
-        for shard_id in range(self._n_shards):
-            request_id = next(self._ids)
-            future = loop.create_future()
-            self._pending[request_id] = future
-            self._request_queues[shard_id].put(
-                ShardRequest(request_id=request_id, replica=replica,
-                             tasks=tasks, trace=ctx))
-            waits.append((shard_id, future))
+        try:
+            futures = self._fan_out(ShardRequest(
+                request_id=request_id, replica=replica, tasks=tasks,
+                trace=ctx))
+        except BaseException:
+            span.finish()
+            raise
+        for shard_id, future in enumerate(futures):
+            future.add_done_callback(partial(self._leg_done, shard_id, t0))
+        responses = asyncio.gather(*futures)
+        responses.add_done_callback(
+            partial(self._dispatch_done, span, request_id))
+        return responses
 
-        async def wait_one(shard_id, future):
-            response = await future
+    def _leg_done(self, shard_id: int, t0: float, future) -> None:
+        if not future.cancelled() and future.exception() is None:
             self.obs.metrics.quantile_sketch(
                 "repro_shard_dispatch_seconds",
                 labels={"shard": str(shard_id)},
             ).observe(time.perf_counter() - t0)
-            return response
 
-        try:
-            responses = await asyncio.gather(
-                *(wait_one(s, f) for s, f in waits))
+    def _dispatch_done(self, span, request_id: int, responses) -> None:
+        # A dispatch abandoned at a deadline drops its late replies.
+        for shard_id in range(self._n_shards):
+            self._pending.pop((shard_id, request_id), None)
+        if not responses.cancelled() and responses.exception() is None:
             span.annotate(failures=sum(
-                len(r.failures) for r in responses))
-            return responses
-        finally:
-            span.finish()
+                len(r.failures) for r in responses.result()))
+        span.finish()
 
-    async def _read_responses(self, response_q) -> None:
+    # -- shard channels ----------------------------------------------------
+
+    def _fan_out(self, message) -> list[asyncio.Future]:
+        """Write ``message`` to every shard; returns one future per shard
+        (shard order) for its reply.  Raises at once when a shard is
+        down: no query may be answered from a partial fleet."""
+        if self._down:
+            raise _shard_down(min(self._down))
+        frame = encode_frame(message)
         loop = asyncio.get_running_loop()
-        while True:
-            message = await loop.run_in_executor(None, response_q.get)
-            if message is None:
-                return
-            future = self._pending.pop(message.request_id, None)
-            if future is not None and not future.done():
-                future.set_result(message)
+        futures = []
+        for shard_id, channel in enumerate(self._channels):
+            future = loop.create_future()
+            self._pending[(shard_id, message.request_id)] = future
+            channel.transport.write(frame)
+            futures.append(future)
+        return futures
+
+    def _on_message(self, message) -> None:
+        future = self._pending.pop((message.shard_id, message.request_id),
+                                   None)
+        if future is not None and not future.done():
+            future.set_result(message)
+
+    def _on_lost(self, shard_id: int, _exc) -> None:
+        """A shard's channel closed.  Outside :meth:`stop` that means its
+        worker died: fail everything it owed and refuse it new work."""
+        if self._stopping:
+            return
+        self._down.add(shard_id)
+        for key in [k for k in self._pending if k[0] == shard_id]:
+            future = self._pending.pop(key)
+            if not future.done():
+                future.set_exception(_shard_down(shard_id))
 
     # -- observability -----------------------------------------------------
 
@@ -511,15 +585,8 @@ class ShardServer:
         :func:`~repro.obs.aggregate.merge_metric_snapshots` union;
         ``server`` the front-door counters.  When an SLO engine is
         attached, ``slo`` carries its freshly evaluated status."""
-        loop = asyncio.get_running_loop()
-        waits = []
-        for shard_id in range(self._n_shards):
-            request_id = next(self._ids)
-            future = loop.create_future()
-            self._pending[request_id] = future
-            self._request_queues[shard_id].put(MetricsRequest(request_id))
-            waits.append(future)
-        responses = await asyncio.gather(*waits)
+        responses = await asyncio.gather(
+            *self._fan_out(MetricsRequest(next(self._ids))))
         shard_snapshots = {r.shard_id: r.snapshot for r in responses}
         frontdoor = self.obs.metrics.snapshot()
         snapshot = {
@@ -545,16 +612,8 @@ class ShardServer:
         """Every worker's retained spans plus the front door's own, each
         tagged with a ``worker`` label (``frontdoor`` / ``shard-N``) for
         :func:`~repro.obs.distributed.stitch_traces`."""
-        loop = asyncio.get_running_loop()
-        waits = []
-        for shard_id in range(self._n_shards):
-            request_id = next(self._ids)
-            future = loop.create_future()
-            self._pending[request_id] = future
-            self._request_queues[shard_id].put(
-                TraceRequest(request_id, clear=clear))
-            waits.append(future)
-        responses = await asyncio.gather(*waits)
+        responses = await asyncio.gather(
+            *self._fan_out(TraceRequest(next(self._ids), clear=clear)))
         shards = {
             r.shard_id: [dict(s, worker=f"shard-{r.shard_id}")
                          for s in r.spans]
@@ -588,3 +647,31 @@ class ShardServer:
                     fh.write(json.dumps(span) + "\n")
             paths.append(path)
         return paths
+
+
+def _shard_down(shard_id: int) -> DegradedReadError:
+    return DegradedReadError(
+        f"shard {shard_id} is down: its worker exited while serving")
+
+
+async def _within_deadlines(work: asyncio.Task, waiters):
+    """Await ``work`` while failing each ``(envelope, future)`` waiter
+    with :class:`DeadlineExceededError` once its own deadline passes.
+    Returns ``work``'s result, or None after cancelling it when every
+    waiter has been resolved that way."""
+    while True:
+        live = [(e, f) for e, f in waiters if not f.done()]
+        if not live:
+            work.cancel()
+            return None
+        deadlines = [e.deadline for e, _f in live if e.deadline is not None]
+        timeout = (max(min(deadlines) - time.time(), 0.0)
+                   if deadlines else None)
+        done, _ = await asyncio.wait((work,), timeout=timeout)
+        if done:
+            return work.result()
+        now = time.time()
+        for envelope, future in live:
+            if envelope.deadline is not None and now >= envelope.deadline:
+                future.set_exception(
+                    DeadlineExceededError(envelope.deadline, now))

@@ -160,33 +160,38 @@ def _trace_spans(store, clear: bool) -> tuple[dict, ...]:
 
 
 def shard_worker_main(config: StoreConfig, assignment, shard_id: int,
-                      request_queue, response_queue,
+                      request_channel, response_channel,
                       options: ExecOptions | None = None) -> None:
     """The worker loop: ``spawn`` target for process workers, ``Thread``
-    target for in-process ones.  Exits on the ``None`` sentinel, echoing
-    it so the front door's response reader unblocks."""
+    target for in-process ones.  The channels are the worker's blocking
+    :class:`~multiprocessing.connection.Connection` ends (one duplex
+    connection may serve as both).  Exits on the ``None`` sentinel or
+    when the front door's end closes, and closes its own end on the way
+    out, however it exits, so the front door reads EOF."""
     opts = _worker_options(options)
-    store = open_shard_store(config, assignment, shard_id)
-    try:
-        while True:
-            message = request_queue.get()
-            if message is None:
-                break
-            if isinstance(message, MetricsRequest):
-                response_queue.put(MetricsResponse(
-                    request_id=message.request_id,
-                    shard_id=shard_id,
-                    snapshot=_metrics_snapshot(store),
-                ))
-                continue
-            if isinstance(message, TraceRequest):
-                response_queue.put(TraceResponse(
-                    request_id=message.request_id,
-                    shard_id=shard_id,
-                    spans=_trace_spans(store, message.clear),
-                ))
-                continue
-            response_queue.put(serve_request(store, message, shard_id, opts))
-    finally:
-        store.close()
-        response_queue.put(None)
+    with request_channel, response_channel:
+        store = open_shard_store(config, assignment, shard_id)
+        try:
+            while True:
+                message = request_channel.recv()
+                if message is None:
+                    break
+                if isinstance(message, MetricsRequest):
+                    reply = MetricsResponse(
+                        request_id=message.request_id,
+                        shard_id=shard_id,
+                        snapshot=_metrics_snapshot(store),
+                    )
+                elif isinstance(message, TraceRequest):
+                    reply = TraceResponse(
+                        request_id=message.request_id,
+                        shard_id=shard_id,
+                        spans=_trace_spans(store, message.clear),
+                    )
+                else:
+                    reply = serve_request(store, message, shard_id, opts)
+                response_channel.send(reply)
+        except (EOFError, ConnectionError):
+            pass  # the front door's end closed: nobody is left to answer
+        finally:
+            store.close()

@@ -1,6 +1,10 @@
 """Cross-validation of the selection solvers: greedy, branch-and-bound,
 brute force, and both MIP forms/backends."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +228,19 @@ class TestMip:
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
             solve_mip(random_instance(rng), backend="gurobi")
+
+    @pytest.mark.parametrize("module", ["repro.serve.worker", "repro"])
+    def test_scipy_not_imported_until_a_mip_is_built(self, module):
+        # Serving processes import the package but never solve a MIP;
+        # scipy would cost each of them ~20 MB of resident memory.
+        src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src_root))
+        probe = (f"import sys, {module}; "
+                 "print(any(m == 'scipy' or m.startswith('scipy.') "
+                 "for m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSolverTelemetry:

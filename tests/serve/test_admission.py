@@ -107,6 +107,93 @@ class TestTenantQuotas:
             QuotaConfig(rate=1.0, burst=0)
 
 
+def _run_bounded(coro, seconds: float = 5.0):
+    """Run ``coro``, failing instead of hanging if batches never form."""
+    return asyncio.run(asyncio.wait_for(coro, seconds))
+
+
+async def _spin(iterations: int = 10) -> None:
+    """Let the loop run a few iterations without advancing any timer."""
+    for _ in range(iterations):
+        await asyncio.sleep(0)
+
+
+def _echo_flush(batches, gate=None):
+    """A flush callback recording each batch; the first batch waits on
+    ``gate`` (an ``asyncio.Event``) when one is given."""
+    async def flush(batch):
+        batches.append([query for query, _ in batch])
+        if gate is not None and len(batches) == 1:
+            await gate.wait()
+        for query, future in batch:
+            future.set_result(query)
+    return flush
+
+
+class TestNaturalBatching:
+    """The default ``window_seconds=0``: no timer, batches form from
+    what arrives within one loop iteration or during a flush."""
+
+    def test_lone_submit_flushes_without_a_timer(self):
+        async def go():
+            batcher = Batcher(_echo_flush([]))
+            submit = asyncio.ensure_future(batcher.submit("lone"))
+            await _spin()
+            return submit.done() and submit.result()
+
+        assert asyncio.run(go()) == "lone"
+
+    def test_same_iteration_submits_share_one_flush(self):
+        batches = []
+
+        async def go():
+            batcher = Batcher(_echo_flush(batches))
+            return await asyncio.gather(*(batcher.submit(i)
+                                          for i in range(5)))
+
+        assert asyncio.run(go()) == [0, 1, 2, 3, 4]
+        assert batches == [[0, 1, 2, 3, 4]]
+
+    def test_submits_during_a_flush_are_held_then_batched(self):
+        batches = []
+
+        async def go():
+            gate = asyncio.Event()
+            batcher = Batcher(_echo_flush(batches, gate))
+            first = asyncio.ensure_future(batcher.submit("a"))
+            later = []
+            for query in "bcd":
+                await _spin()
+                later.append(asyncio.ensure_future(batcher.submit(query)))
+            await _spin()
+            held = [list(b) for b in batches]
+            gate.set()
+            return held, await asyncio.gather(first, *later)
+
+        held, results = _run_bounded(go())
+        assert held == [["a"]]
+        assert results == ["a", "b", "c", "d"]
+        assert batches == [["a"], ["b", "c", "d"]]
+
+    def test_max_batch_flushes_even_while_a_flush_is_in_flight(self):
+        batches = []
+
+        async def go():
+            gate = asyncio.Event()
+            batcher = Batcher(_echo_flush(batches, gate), max_batch=2)
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await _spin()
+            full = await asyncio.gather(batcher.submit("b"),
+                                        batcher.submit("c"))
+            gate.set()
+            return full, await first
+
+        full, first = _run_bounded(go())
+        assert full == ["b", "c"]
+        assert first == "a"
+        assert batches == [["a"], ["b", "c"]]
+
+
 class TestBatcher:
     def test_max_batch_flushes_immediately(self):
         batches = []

@@ -5,10 +5,16 @@ failed query surfaces as a structured error — never a silent partial.
 
 import asyncio
 import dataclasses
+import time
 
 import pytest
 
-from repro.errors import DegradedReadError, OverloadError, QuotaExceededError
+from repro.errors import (
+    DeadlineExceededError,
+    DegradedReadError,
+    OverloadError,
+    QuotaExceededError,
+)
 from repro.serve import (
     FleetSpec,
     QuotaConfig,
@@ -222,6 +228,24 @@ class TestFrontDoor:
         for got in results:
             assert datasets_identical(canonical(got), baseline[0])
         assert stats["queries_served"] == 6
+
+    def test_deadline_is_enforced_while_awaiting_shards(
+            self, config, queries, baseline):
+        # Every storage read sleeps 0.5 s, so the shards cannot answer
+        # in time; the caller must get its structured error at its own
+        # deadline, not when the slow scan finally returns.
+        slow = dataclasses.replace(config,
+                                   faults=FaultSpec(slow_seconds=0.5))
+        query = next(q for q, want in zip(queries, baseline) if len(want))
+
+        async def go():
+            async with ShardServer(slow, n_shards=2) as server:
+                t0 = time.perf_counter()
+                with pytest.raises(DeadlineExceededError):
+                    await server.query(query, deadline_seconds=0.1)
+                return time.perf_counter() - t0
+
+        assert asyncio.run(go()) < 0.35
 
     def test_query_before_start_rejected(self, config, queries):
         async def go():

@@ -10,8 +10,15 @@ small because each worker pays a real interpreter start.
 
 import asyncio
 import dataclasses
+import multiprocessing
+import os
+import signal
 
+import pytest
+
+from repro.errors import DegradedReadError
 from repro.serve import ShardServer
+from repro.storage import FaultSpec
 from repro.verify.oracle import canonical, datasets_identical
 
 
@@ -54,3 +61,30 @@ def test_spawn_workers_report_metrics(config, queries):
                           for c in snap["frontdoor"]["counters"])
     assert shard_total > 0
     assert merged_total == shard_total + frontdoor_total
+
+
+def test_killed_worker_fails_fast_and_the_server_still_stops(
+        config, queries, baseline):
+    # Slow reads keep the first query in flight while one worker is
+    # SIGKILLed: it and every later query must end in DegradedReadError
+    # (never a hang), and stop() must still return.
+    slow = dataclasses.replace(config, faults=FaultSpec(slow_seconds=0.3))
+    query = next(q for q, want in zip(queries, baseline) if len(want))
+
+    async def go():
+        server = ShardServer(slow, n_shards=2, worker_mode="process")
+        await server.start()
+        try:
+            before = set(multiprocessing.active_children())
+            in_flight = asyncio.ensure_future(server.query(query))
+            await asyncio.sleep(0.05)
+            assert not in_flight.done()
+            os.kill(before.pop().pid, signal.SIGKILL)
+            with pytest.raises(DegradedReadError, match="shard"):
+                await asyncio.wait_for(in_flight, 5.0)
+            with pytest.raises(DegradedReadError, match="shard"):
+                await asyncio.wait_for(server.query(queries[0]), 5.0)
+        finally:
+            await asyncio.wait_for(server.stop(), 30.0)
+
+    asyncio.run(go())
